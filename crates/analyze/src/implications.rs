@@ -27,9 +27,17 @@
 //! cross-checks every reported implication, constant, and equivalence
 //! against exhaustive enumeration on all tractable circuits.
 //!
+//! The closure keeps the history that produced it: every learned edge with
+//! its learning index, and a log of constant discoveries with the sweep and
+//! edge count each surfaced under. A [`Tracer`] re-runs the same propagator
+//! over that history with antecedent recording switched on, so a consumer
+//! can extract the derivation behind any single fact without recomputing
+//! the closure (the `scanft-opt` prover certifies its rewrites this way).
+//!
 //! Consumers: FIRE-style untestability proofs ([`crate::prune`]),
-//! implication-guided PODEM (`scanft-atpg`), and the `constant-net` /
-//! `equivalent-nets` design lints ([`crate::netlist_lints`]).
+//! implication-guided PODEM (`scanft-atpg`), the `constant-net` /
+//! `equivalent-nets` design lints ([`crate::netlist_lints`]), and the
+//! certificate prover of `scanft-opt`.
 
 use scanft_netlist::{GateKind, NetId, Netlist};
 
@@ -57,6 +65,32 @@ fn neg(l: usize) -> usize {
 /// literal with all edges learned so far; in practice the fixpoint arrives
 /// after two or three rounds, the bound only guards pathological inputs.
 const MAX_ROUNDS: usize = 8;
+
+/// A learned contrapositive edge out of some source literal: applying it
+/// forces literal `target`. `idx` is the edge's position in learning order.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    target: u32,
+    idx: u32,
+}
+
+/// One constant surfaced by the closure, in discovery order.
+///
+/// Seeding `(net, !value)` conflicts when propagated with the constants of
+/// every earlier sweep and the first `edge_limit` learned edges — the exact
+/// state the closure was in when it found this one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConstDiscovery {
+    /// The constant net.
+    pub net: NetId,
+    /// Its value in every consistent assignment.
+    pub value: bool,
+    /// The propagation sweep it surfaced in (sweeps count up across
+    /// learning rounds).
+    pub sweep: u32,
+    /// Learned edges that existed during that sweep.
+    pub edge_limit: u32,
+}
 
 /// The static implication closure of a netlist: for every literal, every
 /// other literal it forces, plus the constants and equivalent net pairs that
@@ -91,6 +125,13 @@ pub struct Implications {
     infeasible: Vec<bool>,
     /// Per-net constant value, when proven.
     constant: Vec<Option<bool>>,
+    /// Learned contrapositive edges per source literal, in learning order.
+    edges: Vec<Vec<Edge>>,
+    /// Edge count at the start of each learning round's batch: the edges a
+    /// batch member's discovery rows were computed with. Ascending.
+    batch_starts: Vec<u32>,
+    /// Constants in discovery order.
+    discoveries: Vec<ConstDiscovery>,
     /// Indirect (contrapositive) implication edges learned.
     learned: u64,
 }
@@ -114,16 +155,16 @@ impl Implications {
             rows: vec![0u64; lits * words_per_row],
             infeasible: vec![false; lits],
             constant: vec![None; n],
+            edges: vec![Vec::new(); lits],
+            batch_starts: Vec::new(),
+            discoveries: Vec::new(),
             learned: 0,
         };
-        // Learned contrapositive edges, per source literal, plus a set to
-        // keep the count of distinct learned pairs exact across rounds.
-        let mut edges: Vec<Vec<u32>> = vec![Vec::new(); lits];
-        let mut known: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        let mut prop = Propagator::new(netlist);
+        let mut prop = Propagator::new(n, ());
+        let mut sweep = 0u32;
         for _round in 0..MAX_ROUNDS {
-            engine.close_all(netlist, &edges, &mut prop);
-            let mut grew = false;
+            engine.close_all(netlist, &mut prop, &mut sweep);
+            let batch_start = engine.learned as u32;
             for l in 0..lits {
                 if engine.infeasible[l] || engine.constant[lit_net(l) as usize].is_some() {
                     continue;
@@ -134,20 +175,26 @@ impl Implications {
                         continue;
                     }
                     // a ⇒ b learned as ¬b ⇒ ¬a, unless the closure of ¬b
-                    // already carries ¬a.
-                    if !engine.row_bit(neg(m), neg(l))
-                        && known.insert((neg(m) as u32, neg(l) as u32))
-                    {
-                        edges[neg(m)].push(neg(l) as u32);
-                        grew = true;
+                    // already carries ¬a. A learned pair is never offered
+                    // again: the next round's row of ¬b applies the edge,
+                    // and rows only grow.
+                    if !engine.row_bit(neg(m), neg(l)) {
+                        engine.edges[neg(m)].push(Edge {
+                            target: neg(l) as u32,
+                            idx: engine.learned as u32,
+                        });
+                        engine.learned += 1;
                     }
                 }
             }
-            if !grew {
+            if engine.learned == u64::from(batch_start) {
                 break;
             }
+            engine.batch_starts.push(batch_start);
         }
-        engine.learned = known.len() as u64;
+        for list in &mut engine.edges {
+            list.shrink_to_fit();
+        }
         obs.counter("analyze.implications_learned")
             .add(engine.learned);
         obs.counter("analyze.implications.literals")
@@ -156,18 +203,14 @@ impl Implications {
     }
 
     /// Recomputes every literal's closure row with the current learned
-    /// edges and constants.
-    fn close_all(&mut self, netlist: &Netlist, edges: &[Vec<u32>], prop: &mut Propagator) {
+    /// edges and constants, logging each constant as it surfaces.
+    fn close_all(&mut self, netlist: &Netlist, prop: &mut Propagator<()>, sweep: &mut u32) {
         let lits = 2 * self.num_nets;
+        let edge_limit = self.learned as u32;
         // Constants may be discovered mid-sweep; sweeping until stable keeps
         // every row consistent with the full constant set.
         loop {
-            let constants: Vec<(NetId, bool)> = self
-                .constant
-                .iter()
-                .enumerate()
-                .filter_map(|(net, c)| c.map(|v| (net as NetId, v)))
-                .collect();
+            let constants = self.constants();
             for l in 0..lits {
                 let net = lit_net(l);
                 if let Some(c) = self.constant[net as usize] {
@@ -176,22 +219,38 @@ impl Implications {
                         continue;
                     }
                 }
-                match prop.propagate(netlist, edges, &constants, l) {
-                    Ok(values) => {
+                match prop.propagate(
+                    netlist,
+                    &self.edges,
+                    &constants,
+                    net,
+                    lit_value(l),
+                    u32::MAX,
+                ) {
+                    Ok(()) => {
                         self.infeasible[l] = false;
                         let row =
                             &mut self.rows[l * self.words_per_row..(l + 1) * self.words_per_row];
                         row.fill(0);
-                        for (net, v) in values {
-                            let m = lit(net, v);
+                        for &net in &prop.trail {
+                            let m = lit(net, prop.values[net as usize].unwrap_or(false));
                             row[m / 64] |= 1 << (m % 64);
                         }
                     }
                     Err(Conflict) => {
+                        if self.constant[net as usize].is_none() {
+                            self.discoveries.push(ConstDiscovery {
+                                net,
+                                value: !lit_value(l),
+                                sweep: *sweep,
+                                edge_limit,
+                            });
+                        }
                         self.infeasible[l] = true;
                     }
                 }
             }
+            *sweep += 1;
             let mut new_constant = false;
             for net in 0..self.num_nets {
                 if self.constant[net].is_none() {
@@ -333,6 +392,53 @@ impl Implications {
     pub fn num_nets(&self) -> usize {
         self.num_nets
     }
+
+    /// Every constant in the order the closure discovered it. Replaying the
+    /// log front to back, each entry's conflict only needs constants of
+    /// earlier sweeps and edges below its `edge_limit`.
+    #[must_use]
+    pub fn discoveries(&self) -> &[ConstDiscovery] {
+        &self.discoveries
+    }
+
+    /// The learning index of the edge `(from, from_value) → (to, to_value)`,
+    /// if the closure learned it. The edge was learned as the contrapositive
+    /// of `(to, !to_value) ⇒ (from, !from_value)`.
+    #[must_use]
+    pub fn learned_edge(
+        &self,
+        from: NetId,
+        from_value: bool,
+        to: NetId,
+        to_value: bool,
+    ) -> Option<u32> {
+        let target = lit(to, to_value) as u32;
+        self.edges[lit(from, from_value)]
+            .iter()
+            .find(|e| e.target == target)
+            .map(|e| e.idx)
+    }
+
+    /// How many learned edges existed when the rows that justified edge
+    /// `idx` were computed. Re-deriving its implication with only edges
+    /// below this limit reproduces the discovery, and cites only edges with
+    /// a strictly smaller index.
+    #[must_use]
+    pub fn edge_limit(&self, idx: u32) -> u32 {
+        let batch = self.batch_starts.partition_point(|&start| start <= idx);
+        self.batch_starts[batch.saturating_sub(1)]
+    }
+
+    /// A propagator over this closure's learned edges that records why each
+    /// assignment was forced.
+    #[must_use]
+    pub fn tracer<'a>(&'a self, netlist: &'a Netlist) -> Tracer<'a> {
+        Tracer {
+            netlist,
+            edges: &self.edges,
+            prop: Propagator::new(self.num_nets, Trace::new(self.num_nets)),
+        }
+    }
 }
 
 /// Iterates the set bit positions of a bitset row.
@@ -351,77 +457,162 @@ fn iter_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Conflict marker: propagation derived both values for some net.
-struct Conflict;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Conflict;
+
+/// Why an assignment of a traced propagation was forced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Antecedent {
+    /// The seed literal.
+    Seed,
+    /// A seeded constant.
+    Const,
+    /// The consistency rules of gate `g` under the assignments made before
+    /// this one.
+    Gate(u32),
+    /// Learned edge `idx`, applied from the assignment `from = from_value`.
+    /// The edge is the contrapositive of `(net, !value) ⇒ (from,
+    /// !from_value)` for the assignment it forced.
+    Lemma {
+        /// The edge's learning index.
+        idx: u32,
+        /// The source net.
+        from: NetId,
+        /// The source net's value.
+        from_value: bool,
+    },
+}
+
+/// One assignment of an extracted derivation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// The net assigned.
+    pub net: NetId,
+    /// The value assigned.
+    pub value: bool,
+    /// Why the assignment is forced.
+    pub by: Antecedent,
+}
+
+/// Receives the antecedent of every assignment the propagator makes. The
+/// closure builds its rows with `()`, which records nothing.
+trait Recorder {
+    fn assigned(&mut self, net: NetId, pos: usize, why: Antecedent);
+    fn conflict(&mut self, net: NetId, value: bool, why: Antecedent);
+}
+
+impl Recorder for () {
+    #[inline]
+    fn assigned(&mut self, _: NetId, _: usize, _: Antecedent) {}
+    #[inline]
+    fn conflict(&mut self, _: NetId, _: bool, _: Antecedent) {}
+}
+
+/// Per-net antecedents and trail positions of the latest traced run (valid
+/// for assigned nets only), plus the failed assignment on conflict.
+struct Trace {
+    why: Vec<Antecedent>,
+    pos: Vec<u32>,
+    conflict: Option<(NetId, bool, Antecedent)>,
+}
+
+impl Trace {
+    fn new(num_nets: usize) -> Self {
+        Trace {
+            why: vec![Antecedent::Seed; num_nets],
+            pos: vec![0; num_nets],
+            conflict: None,
+        }
+    }
+}
+
+impl Recorder for Trace {
+    fn assigned(&mut self, net: NetId, pos: usize, why: Antecedent) {
+        self.why[net as usize] = why;
+        self.pos[net as usize] = pos as u32;
+    }
+
+    fn conflict(&mut self, net: NetId, value: bool, why: Antecedent) {
+        self.conflict = Some((net, value, why));
+    }
+}
 
 /// Reusable three-valued constraint propagator (scratch buffers are kept
 /// across runs to avoid reallocating per literal).
-struct Propagator {
+struct Propagator<R> {
     values: Vec<Option<bool>>,
     /// Nets assigned in the current run, also serving as the worklist.
     trail: Vec<NetId>,
     /// Worklist cursor.
     cursor: usize,
+    rec: R,
 }
 
-impl Propagator {
-    fn new(netlist: &Netlist) -> Self {
+impl<R: Recorder> Propagator<R> {
+    fn new(num_nets: usize, rec: R) -> Self {
         Propagator {
-            values: vec![None; netlist.num_nets()],
-            trail: Vec::with_capacity(netlist.num_nets()),
+            values: vec![None; num_nets],
+            trail: Vec::with_capacity(num_nets),
             cursor: 0,
+            rec,
         }
     }
 
-    /// Propagates seed literal `seed` (plus all known constants) to a
-    /// fixpoint, returning every assigned (net, value) pair, or [`Conflict`]
-    /// if the seed is infeasible.
+    /// Propagates `seed_net = seed_value` plus `constants` to a fixpoint,
+    /// applying learned edges with index below `limit`. The assignments
+    /// stay readable in `values`/`trail` until the next run.
     fn propagate(
         &mut self,
         netlist: &Netlist,
-        edges: &[Vec<u32>],
+        edges: &[Vec<Edge>],
         constants: &[(NetId, bool)],
-        seed: usize,
-    ) -> Result<Vec<(NetId, bool)>, Conflict> {
+        seed_net: NetId,
+        seed_value: bool,
+        limit: u32,
+    ) -> Result<(), Conflict> {
         for &net in &self.trail {
             self.values[net as usize] = None;
         }
         self.trail.clear();
         self.cursor = 0;
-        let run = (|| {
-            for &(net, v) in constants {
-                self.assign(net, v)?;
+        for &(net, v) in constants {
+            self.assign(net, v, Antecedent::Const)?;
+        }
+        self.assign(seed_net, seed_value, Antecedent::Seed)?;
+        while self.cursor < self.trail.len() {
+            let net = self.trail[self.cursor];
+            self.cursor += 1;
+            let v = self.values[net as usize].unwrap_or(false);
+            // Each list is in learning order, so the limit cuts a prefix.
+            for edge in edges[lit(net, v)].iter().take_while(|e| e.idx < limit) {
+                let t = edge.target as usize;
+                let why = Antecedent::Lemma {
+                    idx: edge.idx,
+                    from: net,
+                    from_value: v,
+                };
+                self.assign(lit_net(t), lit_value(t), why)?;
             }
-            self.assign(lit_net(seed), lit_value(seed))?;
-            while self.cursor < self.trail.len() {
-                let net = self.trail[self.cursor];
-                self.cursor += 1;
-                let v = self.values[net as usize].unwrap_or(false);
-                for &target in &edges[lit(net, v)] {
-                    self.assign(lit_net(target as usize), lit_value(target as usize))?;
-                }
-                if let Some(g) = netlist.driver_index(net) {
-                    self.apply_gate(netlist, g)?;
-                }
-                for &g in netlist.fanout(net) {
-                    self.apply_gate(netlist, g as usize)?;
-                }
+            if let Some(g) = netlist.driver_index(net) {
+                self.apply_gate(netlist, g)?;
             }
-            Ok(())
-        })();
-        run.map(|()| {
-            self.trail
-                .iter()
-                .map(|&net| (net, self.values[net as usize].unwrap_or(false)))
-                .collect()
-        })
+            for &g in netlist.fanout(net) {
+                self.apply_gate(netlist, g as usize)?;
+            }
+        }
+        Ok(())
     }
 
-    fn assign(&mut self, net: NetId, v: bool) -> Result<(), Conflict> {
+    fn assign(&mut self, net: NetId, v: bool, why: Antecedent) -> Result<(), Conflict> {
         match self.values[net as usize] {
             Some(x) if x == v => Ok(()),
-            Some(_) => Err(Conflict),
+            Some(_) => {
+                self.rec.conflict(net, v, why);
+                Err(Conflict)
+            }
             None => {
                 self.values[net as usize] = Some(v);
+                self.rec.assigned(net, self.trail.len(), why);
                 self.trail.push(net);
                 Ok(())
             }
@@ -433,15 +624,16 @@ impl Propagator {
         let gate = &netlist.gates()[g];
         let out = netlist.gate_output(g);
         let kind = gate.kind;
+        let by = Antecedent::Gate(g as u32);
         match kind {
             GateKind::Not | GateKind::Buf => {
                 let invert = kind == GateKind::Not;
                 let input = gate.inputs[0];
                 if let Some(v) = self.values[input as usize] {
-                    self.assign(out, v ^ invert)?;
+                    self.assign(out, v ^ invert, by)?;
                 }
                 if let Some(v) = self.values[out as usize] {
-                    self.assign(input, v ^ invert)?;
+                    self.assign(input, v ^ invert, by)?;
                 }
             }
             GateKind::Xor => {
@@ -458,10 +650,10 @@ impl Propagator {
                     }
                 }
                 match (unknowns, self.values[out as usize]) {
-                    (0, _) => self.assign(out, parity)?,
+                    (0, _) => self.assign(out, parity, by)?,
                     (1, Some(v)) => {
                         let pin = unknown.unwrap_or(0);
-                        self.assign(gate.inputs[pin], v ^ parity)?;
+                        self.assign(gate.inputs[pin], v ^ parity, by)?;
                     }
                     _ => {}
                 }
@@ -483,27 +675,149 @@ impl Propagator {
                     }
                 }
                 if any_controlling {
-                    self.assign(out, controlling ^ invert)?;
+                    self.assign(out, controlling ^ invert, by)?;
                 } else if unknowns == 0 {
-                    self.assign(out, !controlling ^ invert)?;
+                    self.assign(out, !controlling ^ invert, by)?;
                 }
                 if let Some(v) = self.values[out as usize] {
                     if v == !controlling ^ invert {
                         // Non-controlled result: every input at the
                         // non-controlling value.
                         for &input in &gate.inputs {
-                            self.assign(input, !controlling)?;
+                            self.assign(input, !controlling, by)?;
                         }
                     } else if unknowns == 1 && !any_controlling {
                         // Controlled result with one candidate left: it must
                         // supply the controlling value.
                         let pin = unknown.unwrap_or(0);
-                        self.assign(gate.inputs[pin], controlling)?;
+                        self.assign(gate.inputs[pin], controlling, by)?;
                     }
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// The closure's propagator with antecedent recording, for extracting the
+/// derivation behind individual facts ([`Implications::tracer`]).
+pub struct Tracer<'a> {
+    netlist: &'a Netlist,
+    edges: &'a [Vec<Edge>],
+    prop: Propagator<Trace>,
+}
+
+impl Tracer<'_> {
+    /// Propagates `seed_net = seed_value` plus `constants` (in net order) to
+    /// a fixpoint, applying learned edges with index below `limit`. The
+    /// run's assignments stay queryable until the next call.
+    ///
+    /// # Errors
+    ///
+    /// [`Conflict`] when the seed is infeasible under those facts; the
+    /// failed assignment is kept for [`Tracer::conflict_trace`].
+    pub fn propagate(
+        &mut self,
+        constants: &[(NetId, bool)],
+        seed_net: NetId,
+        seed_value: bool,
+        limit: u32,
+    ) -> Result<(), Conflict> {
+        self.prop.rec.conflict = None;
+        self.prop.propagate(
+            self.netlist,
+            self.edges,
+            constants,
+            seed_net,
+            seed_value,
+            limit,
+        )
+    }
+
+    /// The value the last run assigned to `net`, if any.
+    #[must_use]
+    pub fn value(&self, net: NetId) -> Option<bool> {
+        self.prop.values[net as usize]
+    }
+
+    /// The nets an assignment of `net` was forced from: for a gate rule,
+    /// the gate's other terminals assigned before trail position `before`.
+    fn parents(&self, net: NetId, why: Antecedent, before: u32, out: &mut Vec<NetId>) {
+        match why {
+            Antecedent::Seed | Antecedent::Const => {}
+            Antecedent::Lemma { from, .. } => out.push(from),
+            Antecedent::Gate(g) => {
+                let gate = &self.netlist.gates()[g as usize];
+                let output = self.netlist.gate_output(g as usize);
+                for &t in gate.inputs.iter().chain(std::iter::once(&output)) {
+                    if t != net
+                        && self.prop.values[t as usize].is_some()
+                        && self.prop.rec.pos[t as usize] < before
+                    {
+                        out.push(t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The trail entries in the ancestor closure of `roots`, in assignment
+    /// order.
+    fn ancestors(&self, roots: Vec<NetId>) -> Vec<Step> {
+        let mut marked = vec![false; self.prop.values.len()];
+        let mut stack = roots;
+        while let Some(net) = stack.pop() {
+            if !std::mem::replace(&mut marked[net as usize], true) {
+                let (why, pos) = (
+                    self.prop.rec.why[net as usize],
+                    self.prop.rec.pos[net as usize],
+                );
+                self.parents(net, why, pos, &mut stack);
+            }
+        }
+        self.prop
+            .trail
+            .iter()
+            .filter(|&&net| marked[net as usize])
+            .map(|&net| Step {
+                net,
+                value: self.prop.values[net as usize].unwrap_or(false),
+                by: self.prop.rec.why[net as usize],
+            })
+            .collect()
+    }
+
+    /// The ancestor-pruned derivation of `target`'s assignment in the last
+    /// run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is unassigned (callers check [`Tracer::value`]).
+    #[must_use]
+    pub fn trace_to(&self, target: NetId) -> Vec<Step> {
+        assert!(
+            self.prop.values[target as usize].is_some(),
+            "trace target must be assigned"
+        );
+        self.ancestors(vec![target])
+    }
+
+    /// The ancestor-pruned derivation ending in the last run's conflict: the
+    /// final step re-asserts a net at the complement of its standing
+    /// assignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last run did not conflict.
+    #[must_use]
+    pub fn conflict_trace(&self) -> Vec<Step> {
+        let (net, value, by) = self.prop.rec.conflict.expect("conflict recorded");
+        // The failed rule read every assignment made so far.
+        let mut roots = vec![net];
+        self.parents(net, by, u32::MAX, &mut roots);
+        let mut steps = self.ancestors(roots);
+        steps.push(Step { net, value, by });
+        steps
     }
 }
 
@@ -577,6 +891,70 @@ mod tests {
         // With c pinned at 0, z degenerates to x — and the closure knows it.
         assert!(imp.implies(0, true, z, true));
         assert!(imp.implies(0, false, z, false));
+    }
+
+    #[test]
+    fn discovery_log_replays_to_conflict_traces() {
+        // c = AND(x, NOT x) is constant 0: seeding c=1 under the logged
+        // state conflicts, and the trace ends re-asserting a net at the
+        // complement of its standing value.
+        let mut b = NetlistBuilder::new(1, 0);
+        let nx = b.add_gate(GateKind::Not, &[0]).unwrap();
+        let c = b.add_gate(GateKind::And, &[0, nx]).unwrap();
+        let z = b.add_gate(GateKind::Or, &[c, 0]).unwrap();
+        let n = b.finish(vec![z], vec![]).unwrap();
+        let imp = Implications::new(&n);
+        let log = imp.discoveries();
+        assert_eq!(log.len(), 1);
+        let d = log[0];
+        assert_eq!((d.net, d.value, d.sweep, d.edge_limit), (c, false, 0, 0));
+        let mut tracer = imp.tracer(&n);
+        assert_eq!(
+            tracer.propagate(&[], d.net, !d.value, d.edge_limit),
+            Err(Conflict)
+        );
+        let trace = tracer.conflict_trace();
+        assert_eq!(
+            trace[0],
+            Step {
+                net: c,
+                value: true,
+                by: Antecedent::Seed
+            }
+        );
+        let last = *trace.last().unwrap();
+        assert!(trace[..trace.len() - 1]
+            .iter()
+            .any(|s| s.net == last.net && s.value != last.value));
+        // With the constant seeded, c=0 propagates cleanly.
+        assert_eq!(tracer.propagate(&[(c, false)], c, false, u32::MAX), Ok(()));
+        assert_eq!(tracer.value(z), None);
+    }
+
+    #[test]
+    fn learned_edges_carry_indices_and_round_limits() {
+        // The indirect-learning circuit: z=1 ⇒ x1=1 is only found through
+        // the learned contrapositive edge x1=0 ... z=1 ⇒ x1=1.
+        let mut b = NetlistBuilder::new(3, 0);
+        let a1 = b.add_gate(GateKind::And, &[0, 1]).unwrap();
+        let a2 = b.add_gate(GateKind::And, &[0, 2]).unwrap();
+        let z = b.add_gate(GateKind::Or, &[a1, a2]).unwrap();
+        let n = b.finish(vec![z], vec![]).unwrap();
+        let imp = Implications::new(&n);
+        // x1=0 ⇒ z=0 is direct; its contrapositive z=1 ⇒ x1=1 is an edge.
+        let idx = imp.learned_edge(z, true, 0, true).expect("learned edge");
+        assert!(u64::from(idx) < imp.num_learned());
+        assert!(imp.edge_limit(idx) <= idx);
+        // The traced propagator applies it, citing the edge and its source.
+        let mut tracer = imp.tracer(&n);
+        assert_eq!(tracer.propagate(&[], z, true, u32::MAX), Ok(()));
+        assert_eq!(tracer.value(0), Some(true));
+        let step = *tracer.trace_to(0).last().unwrap();
+        assert_eq!(step.net, 0);
+        assert!(matches!(step.by, Antecedent::Lemma { from, from_value: true, .. } if from == z));
+        // Below its own index the edge is not applied.
+        assert_eq!(tracer.propagate(&[], z, true, idx), Ok(()));
+        assert_eq!(tracer.value(0), None);
     }
 
     #[test]

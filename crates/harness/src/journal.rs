@@ -28,6 +28,7 @@ use scanft_race::sync::{Arc, AtomicU64, Mutex, Ordering};
 
 use crate::chaos::{CrashPoint, FailurePlan};
 use crate::error::ScanftError;
+use crate::json::{field_str, field_u64};
 
 /// Magic value identifying a campaign journal header line.
 const MAGIC: &str = "scanft-campaign";
@@ -203,37 +204,6 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
         }
     }
     Some(JournalRecord { unit, lanes })
-}
-
-/// Extracts an unsigned integer field `"key":123` from a single-line JSON
-/// object.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pattern = format!("\"{key}\":");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Extracts a string field `"key":"value"` (unescaping `\"` and `\\`).
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pattern = format!("\"{key}\":\"");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
 }
 
 enum Sink {
@@ -1022,6 +992,38 @@ mod tests {
         let again = repair_journal(&path).unwrap();
         assert_eq!(again.skipped_lines, 0);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn control_character_label_round_trips_through_repair() {
+        // A tenant-supplied label with a tab, a newline and U+0001 must read
+        // back exactly, or repair would rewrite the header it just parsed.
+        let path = temp_path("repair-ctl");
+        std::fs::remove_file(&path).ok();
+        let header = JournalHeader {
+            label: "a\tb\nc\u{1}d".to_owned(),
+            ..header()
+        };
+        {
+            let writer = JournalWriter::create(&path).unwrap();
+            writer.write_header(&header).unwrap();
+            writer
+                .append(&JournalRecord {
+                    unit: 0,
+                    lanes: vec![Some(1)],
+                })
+                .unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        let repaired = repair_journal(&path).unwrap();
+        assert_eq!(repaired.header, Some(header));
+        assert_eq!(repaired.skipped_lines, 0);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "repair rewrote the file"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -27,6 +27,8 @@
 //!   journal writes, and [`CrashPoint`] process deaths before/after a
 //!   flush) seeded through the workspace's SplitMix64, so every recovery
 //!   path above is provable in CI with a pinned seed;
+//! - [`json`]: the keyed field reader for every flat JSONL line the
+//!   workspace writes (journals, the server's WAL and HTTP bodies);
 //! - [`ScanftError`]: the workspace error taxonomy with one distinct
 //!   non-zero exit code per failure class.
 //!
@@ -61,6 +63,7 @@ mod budget;
 mod chaos;
 mod error;
 mod journal;
+pub mod json;
 mod supervisor;
 
 pub use budget::{Budget, BudgetClock, CancelToken, StopReason};

@@ -98,7 +98,7 @@ pub fn optimize_with(netlist: &Netlist, analysis: &scanft_analyze::Analysis) -> 
     let arena = GateArena::build(netlist);
     let dataflow_constants = dataflow::forward_constants(netlist, &arena).len();
     let mut cert = Certificate::begin(netlist.num_pis(), netlist.num_ppis(), netlist.num_gates());
-    let mut prover = prover::Prover::new(netlist, &mut cert);
+    let mut prover = prover::Prover::new(netlist, &analysis.implications, &mut cert);
     let (reduced, map, rw) = rewrite::run(netlist, &facts, &mut prover, &mut cert);
     let stats = OptStats {
         original_gates: netlist.num_gates(),

@@ -117,7 +117,7 @@ pub struct RewriteStats {
 pub fn run(
     netlist: &Netlist,
     facts: &ConstFacts,
-    prover: &mut Prover,
+    prover: &mut Prover<'_>,
     cert: &mut Certificate,
 ) -> (Netlist, NetMap, RewriteStats) {
     let nn = netlist.num_nets();
@@ -180,8 +180,8 @@ pub fn run(
         // 2. Equivalence merging of the output net.
         if let Some(&rep) = class_rep.get(&out) {
             if rep != out {
-                let fwd = prover.prove_implication(netlist, cert, out, true, rep, true);
-                let bwd = prover.prove_implication(netlist, cert, rep, true, out, true);
+                let fwd = prover.prove_implication(cert, out, true, rep, true);
+                let bwd = prover.prove_implication(cert, rep, true, out, true);
                 if let (Some(fwd), Some(bwd)) = (fwd, bwd) {
                     cert.equiv(rep, out, fwd, bwd);
                     subst[out as usize] = rep;
@@ -336,7 +336,7 @@ mod tests {
         let analysis = Analysis::new(n);
         let facts = ConstFacts::of(&analysis);
         let mut cert = Certificate::begin(n.num_pis(), n.num_ppis(), n.num_gates());
-        let mut prover = Prover::new(n, &mut cert);
+        let mut prover = Prover::new(n, &analysis.implications, &mut cert);
         let (reduced, map, stats) = run(n, &facts, &mut prover, &mut cert);
         (reduced, map, stats, cert)
     }

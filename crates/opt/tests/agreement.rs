@@ -2,11 +2,13 @@
 //!
 //! The `constant-net` and `equivalent-nets` lints read the same fact set
 //! ([`scanft_analyze::ConstFacts`]) the optimizer folds, so the two can
-//! never disagree about *what* is redundant; these tests additionally pin
-//! that the prover certifies every one of those facts (nothing the lint
-//! reports is skipped as unprovable) and that the rewrite is a fixpoint —
-//! optimizing an optimized netlist changes nothing, so the lints are
-//! idempotent across optimization.
+//! never disagree about *what* is redundant. The prover does not re-derive
+//! that fact set: it replays the closure's constant-discovery log and
+//! re-propagates only the facts it certifies, on the one implication engine
+//! in `scanft-analyze`. These tests pin that the replay certifies every one
+//! of those facts (nothing the lint reports is skipped as unprovable) and
+//! that the rewrite is a fixpoint — optimizing an optimized netlist changes
+//! nothing, so the lints are idempotent across optimization.
 
 use scanft_analyze::{Analysis, ConstFacts};
 use scanft_fsm::benchmarks;

@@ -17,8 +17,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::job::JobKind;
-use crate::json::{field_f64, field_str, field_u64};
 use crate::retry::RetryPolicy;
+use scanft_harness::json::{field_f64, field_str, field_u64};
 
 /// Why a client call failed.
 #[derive(Debug)]

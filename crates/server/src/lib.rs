@@ -68,7 +68,6 @@ pub mod client;
 pub mod hash;
 pub mod http;
 pub mod job;
-mod json;
 pub mod retry;
 pub mod server;
 pub mod wal;

@@ -23,7 +23,7 @@
 //! the log bytes; nothing here may read a wall clock.
 
 use crate::job::{JobKind, JobStatus};
-use crate::json::{field_f64, field_str, field_u64};
+use scanft_harness::json::{field_bool, field_f64, field_str, field_u64};
 use scanft_harness::{FailurePlan, JsonlWriter, ScanftError};
 
 /// Magic value identifying a server WAL header line.
@@ -211,18 +211,6 @@ fn parse_wal_header(line: &str) -> bool {
     line.starts_with('{')
         && field_str(line, "wal").as_deref() == Some(MAGIC)
         && field_u64(line, "version") == Some(VERSION)
-}
-
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let pattern = format!("\"{key}\":");
-    let rest = &line[line.find(&pattern)? + pattern.len()..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
 }
 
 fn parse_event(line: &str) -> Option<WalEvent> {
